@@ -3,7 +3,7 @@
 Times AdaWave / k-means / DBSCAN / SkinnyDip at two sizes each so the
 pytest-benchmark table exposes the growth rate (the paper compares
 asymptotic trends only). The full sweep with EM is
-``python jobs/run_fig10_runtime.py``.
+``python -m repro.harness fig10``.
 """
 from __future__ import annotations
 

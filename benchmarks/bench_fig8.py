@@ -2,7 +2,7 @@
 
 Each benchmark case runs one noise level with AdaWave + the fast
 baselines; the full 8-algorithm sweep at the paper's n_per_cluster=5600
-is ``python jobs/run_fig8_noise_sweep.py`` (results in EXPERIMENTS.md).
+is ``python -m repro.harness fig8`` (results in EXPERIMENTS.md).
 """
 from __future__ import annotations
 

@@ -3,7 +3,7 @@
 One pytest-benchmark case per dataset times the AdaWave fit; the final
 case runs the full 8-algorithm comparison at reduced roadmap size and
 prints the paper-vs-measured matrix (the full-size numbers live in
-EXPERIMENTS.md, regenerated with ``python jobs/run_table1.py``).
+EXPERIMENTS.md, regenerated with ``python -m repro.harness table1``).
 """
 from __future__ import annotations
 

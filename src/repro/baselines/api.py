@@ -14,16 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["standardize", "kmeans_np", "assign_nearest", "pairwise_sq_dists"]
-
-
-def standardize(X: np.ndarray) -> np.ndarray:
-    """Zero-mean unit-variance per column (constant columns untouched)."""
-    X = np.asarray(X, dtype=np.float64)
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
-    sd[sd == 0] = 1.0
-    return (X - mu) / sd
+__all__ = ["kmeans_np", "assign_nearest", "pairwise_sq_dists"]
 
 
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:

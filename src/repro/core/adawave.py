@@ -1,14 +1,20 @@
 """AdaWave: adaptive wavelet clustering (the paper's core contribution).
 
-Pipeline (paper Algorithm 1), expressed as DataFrame transformations:
+Pipeline (paper Algorithm 1): the N-sized steps run in Spark, the grid-sized
+steps (M ≪ N occupied cells) on the driver.
 
-1. quantize the feature space into a sparse grid  (`core.quantize`, Spark)
-2. low-pass DWT of the sparse grid                (`core.wavelet`, Spark)
+1. quantize the feature space into a sparse grid  (`core.quantize`, Spark;
+   the grid is collected once)
+2. low-pass DWT of the sparse grid                (`core.wavelet`, driver)
 3. drop near-zero coefficients, then adaptively threshold the sorted
-   density curve ("elbow theory")                 (`core.threshold`)
-4. connected components over surviving cells      (`core.components`)
+   density curve ("elbow theory")                 (`core.threshold`, driver)
+4. connected components over surviving cells      (`core.components`, driver)
 5. lookup table: transformed cell -> label, original cell -> transformed
    cell is ``c >> levels``; labels join back onto the objects  (Spark)
+
+One fit runs two Spark actions on its input — the row count and bounds
+aggregate, and the grid collect; the label join runs with the caller's
+action on the result.
 
 Defaults are auto-derived from the dimensionality (the paper's notion of
 "parameter-free": `scale=128` for the 2-D experiments; coarser grids and a
@@ -20,13 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.components import connected_components
 from repro.core.quantize import GridSpec, assign_cells, fit_grid, grid_densities
 from repro.core.threshold import angle_threshold, elbow_threshold
-from repro.core.wavelet import cell_cols, dwt_spark, get_wavelet
+from repro.core.wavelet import cell_cols, dwt_sparse, get_wavelet
 
 __all__ = ["AdaWaveModel", "adawave", "auto_params"]
 
@@ -76,7 +83,6 @@ class AdaWaveModel:
     n_transformed_cells: int
     n_kept_cells: int
     densities_sorted: np.ndarray = field(repr=False)
-    labeled_cells: DataFrame = field(repr=False)  # t0..t{d-1}, cluster
 
 
 def adawave(
@@ -87,7 +93,6 @@ def adawave(
     levels: int | None = None,
     wavelet: str | None = None,
     threshold_method: str = "elbow",
-    elbow_stage: int | None = None,
     adjacency: str = "auto",
     min_component_frac: float = 0.02,
     keep_model: bool = False,
@@ -101,16 +106,16 @@ def adawave(
     into noise — the grid-level analogue of the paper's "further eliminate the
     noise grids" (randomness in dense noise always leaves a few isolated
     above-threshold cells; the paper reports exactly 5+noise clusters, so
-    its implementation necessarily prunes these too). With
-    ``keep_model=True`` also returns the fitted :class:`AdaWaveModel`.
+    its implementation necessarily prunes these too). An empty ``df`` gives
+    an empty result and no clusters. With ``keep_model=True`` also returns
+    the fitted :class:`AdaWaveModel`.
     """
+    if threshold_method not in ("elbow", "angle"):
+        raise ValueError(f"unknown threshold method {threshold_method!r}")
     d = len(features)
-    n_rows = df.count() if scale is None else None
-    a_scale, a_levels, a_wavelet = auto_params(d, n_rows)
-    scale = a_scale if scale is None else scale
+    _, a_levels, a_wavelet = auto_params(d)
     levels = a_levels if levels is None else levels
-    wavelet = a_wavelet if wavelet is None else wavelet
-    w = get_wavelet(wavelet)
+    w = get_wavelet(a_wavelet if wavelet is None else wavelet)
     if d > 6 and w.max_fanout > 1:
         raise ValueError(
             f"wavelet {w.name!r} has fanout {w.max_fanout} per dimension; "
@@ -118,20 +123,24 @@ def adawave(
             "Use 'haar' for high-dimensional data."
         )
 
-    # -- steps 1-2: quantize + transform (distributed) ---------------------
-    spec = fit_grid(df, features, scale)
+    # -- step 1: quantize (Spark), then collect the sparse grid ------------
+    spec = fit_grid(
+        df, features, scale if scale is not None else lambda n: auto_params(d, n)[0]
+    )
     cells = assign_cells(df, spec)
-    grid = grid_densities(cells, d)
-    n_grid = grid.count()
-    tgrid = dwt_spark(grid, d, wavelet=w, levels=levels)
-
-    # -- step 2b/3: coefficient denoising + adaptive threshold (driver; the
-    # transformed grid set has M ≪ N rows) ---------------------------------
+    gpdf = grid_densities(cells, d).toPandas()
     tcols = cell_cols(d)
-    tpdf = tgrid.toPandas()
-    n_transformed = len(tpdf)
-    tpdf = tpdf[tpdf["density"].to_numpy() > _EPS_COEF]
-    dens = np.sort(tpdf["density"].to_numpy())[::-1].copy()
+    coords, grid_dens = gpdf[tcols].to_numpy(), gpdf["density"].to_numpy()
+    del gpdf  # free the frame before the transform: it bounds driver peak RSS
+    n_grid = len(grid_dens)
+
+    # -- steps 2-3 (driver): transform, coefficient denoising, adaptive
+    # threshold ------------------------------------------------------------
+    tcoords, tdens = dwt_sparse(coords, grid_dens, w, levels)
+    n_transformed = len(tdens)
+    nonzero = tdens > _EPS_COEF
+    tcoords, tdens = tcoords[nonzero], tdens[nonzero]
+    dens = np.sort(tdens)[::-1].copy()
     if len(dens) < 8 or (len(dens) and dens[0] <= 4 * dens[-1]):
         # too few occupied cells, or a near-flat density curve: there is
         # no signal/noise split to find (typical of coarse high-d grids) —
@@ -142,75 +151,66 @@ def adawave(
         # coarse high-d grids have no uniform-noise plateau, and the first
         # corner would amputate minority clusters — cut at the second,
         # gentler corner instead (the paper's literal three-segment read)
-        stage = elbow_stage if elbow_stage is not None else (1 if d <= 2 else 2)
-        t = elbow_threshold(dens, stage=stage)
-    elif threshold_method == "angle":
-        t = angle_threshold(dens)
+        t = elbow_threshold(dens, stage=1 if d <= 2 else 2)
     else:
-        raise ValueError(f"unknown threshold method {threshold_method!r}")
-    kept = tpdf[tpdf["density"].to_numpy() > t].copy()
-    if len(tpdf) and not len(kept):
+        t = angle_threshold(dens)
+    keep = tdens > t
+    if len(tdens) and not keep.any():
         # a degenerate elbow (e.g. all-equal densities) must not erase the
         # data — fall back to keeping every non-zero cell
         t = float(dens[-1]) - 1.0
-        kept = tpdf.copy()
+        keep[:] = True
+    kcoords, kdens = tcoords[keep], tdens[keep]
 
     # -- step 4: connected components over surviving cells -----------------
-    if len(kept):
-        cmat = kept[tcols].to_numpy(dtype=np.int64)
-        order = np.lexsort(cmat.T[::-1])  # deterministic label numbering
-        cmat = cmat[order]
-        labels = connected_components(cmat, adjacency=adjacency)
-        kept = kept.iloc[order].assign(cluster=labels)
+    if len(kcoords):
+        order = np.lexsort(kcoords.T[::-1])  # deterministic label numbering
+        kcoords, kdens = kcoords[order], kdens[order]
+        labels = connected_components(kcoords, adjacency=adjacency)
         # prune spurious micro-components back into noise, by density mass
         # (not cell count: a legitimate cluster may occupy one cell when the
         # grid is coarse, but it carries a large share of the total mass)
         if len(labels) and min_component_frac > 0:
-            dens_kept = kept["density"].to_numpy()
             mass = np.zeros(int(labels.max()) + 1)
-            np.add.at(mass, labels, dens_kept)
-            min_mass = min_component_frac * mass.sum()
-            ok = mass[labels] >= min_mass
-            kept = kept.iloc[np.flatnonzero(ok)]
-            if len(kept):
-                _, renum = np.unique(kept["cluster"].to_numpy(), return_inverse=True)
-                kept = kept.assign(cluster=renum)
-        n_clusters = int(kept["cluster"].max()) + 1 if len(kept) else 0
+            np.add.at(mass, labels, kdens)
+            ok = mass[labels] >= min_component_frac * mass.sum()
+            kcoords = kcoords[ok]
+            _, labels = np.unique(labels[ok], return_inverse=True)
+        n_clusters = int(labels.max()) + 1 if len(labels) else 0
     else:
-        kept = kept.assign(cluster=np.array([], dtype=np.int64))
+        labels = np.array([], dtype=np.int64)
         n_clusters = 0
 
     # -- step 5: lookup table + label join (distributed) -------------------
-    spark = df.sparkSession
-    lut = spark.createDataFrame(kept[tcols + ["cluster"]]) if len(kept) else None
     shift = 2**levels
     mapped = cells
-    for cj in cell_cols(d):
+    for cj in tcols:
         mapped = mapped.withColumn(f"t_{cj}", (F.col(cj) / shift).cast("long"))
-    if lut is not None:
+    if len(labels):
+        lut = pd.DataFrame(kcoords, columns=tcols).assign(__cl=labels)
+        lut = df.sparkSession.createDataFrame(lut)
         cond = [mapped[f"t_{cj}"] == lut[cj] for cj in tcols]
-        joined = mapped.join(lut.withColumnRenamed("cluster", "__cl"), cond, "left")
+        joined = mapped.join(lut, cond, "left")
         labeled = joined.withColumn(
             "cluster", F.coalesce(F.col("__cl"), F.lit(-1)).cast("long")
         )
     else:
         labeled = mapped.withColumn("cluster", F.lit(-1).cast("long"))
-    drop = [f"t_{cj}" for cj in cell_cols(d)] + cell_cols(d) + ["__cl"] + (tcols if lut is not None else [])
+    drop = [f"t_{cj}" for cj in tcols] + tcols + ["__cl"]
     out = labeled.drop(*[c for c in drop if c in labeled.columns])
 
     if not keep_model:
         return out
     model = AdaWaveModel(
         spec=spec,
-        scale=scale,
+        scale=spec.scale,
         levels=levels,
         wavelet=w.name,
         threshold=float(t),
         n_clusters=n_clusters,
-        n_grid_cells=int(n_grid),
-        n_transformed_cells=int(n_transformed),
-        n_kept_cells=int(len(kept)),
+        n_grid_cells=n_grid,
+        n_transformed_cells=n_transformed,
+        n_kept_cells=len(kcoords),
         densities_sorted=dens,
-        labeled_cells=lut if lut is not None else spark.createDataFrame([], "cluster long"),
     )
     return out, model

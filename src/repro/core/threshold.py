@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["elbow_threshold", "angle_threshold", "filter_grid"]
+__all__ = ["elbow_threshold", "angle_threshold"]
 
 
 def _chord_elbow(y: np.ndarray) -> tuple[int, float]:
@@ -127,16 +127,3 @@ def angle_threshold(
         prev = cur
     # no sharp turn found: keep everything
     return float(y[-1]) - 1.0
-
-
-def filter_grid(
-    densities_desc: np.ndarray, *, method: str = "elbow", **kwargs
-) -> tuple[float, np.ndarray]:
-    """Return (threshold, boolean keep-mask over the sorted densities)."""
-    if method == "elbow":
-        t = elbow_threshold(densities_desc, **kwargs)
-    elif method == "angle":
-        t = angle_threshold(densities_desc, **kwargs)
-    else:
-        raise ValueError(f"unknown threshold method {method!r}")
-    return t, np.asarray(densities_desc) > t

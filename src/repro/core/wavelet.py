@@ -9,11 +9,12 @@ analysis low-pass coefficients are hard-coded from the literature.
 Two implementations, cross-checked in tests:
 
 - :func:`dwt_dense` — numpy reference on a dense d-dim density array.
-- :func:`dwt_spark` — the production path on the sparse ``{cell: density}``
-  grid as a Spark DataFrame: each non-zero cell is exploded over the filter
-  taps, taps whose output index is non-integral are dropped (the
-  downsample-by-2 parity check), and contributions are merged with a
-  ``groupBy().sum()``. One narrow+shuffle pass per (dimension x level).
+- :func:`dwt_sparse` — the production path on the sparse ``{cell: density}``
+  grid, on the driver in numpy: per (dimension x level) each non-zero cell
+  is spread over the filter taps, taps whose output index is non-integral
+  are dropped (the downsample-by-2 parity check), and contributions to the
+  same output cell are summed. The grid has M ≪ N cells (one per occupied
+  cell), so it is collected once and transformed without Spark.
 
 Filters are center-aligned so that the dominant tap maps original cell
 ``i`` to transformed cell ``floor(i / 2)`` — which is exactly the lookup
@@ -24,10 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-__all__ = ["Wavelet", "WAVELETS", "get_wavelet", "dwt_dense", "dwt_spark", "cell_cols"]
+__all__ = ["Wavelet", "WAVELETS", "get_wavelet", "dwt_dense", "dwt_sparse", "cell_cols"]
 
 _SQRT2 = float(np.sqrt(2.0))
 
@@ -119,8 +118,8 @@ def _dwt_dense_1d(
 
     ``origin`` is the true grid coordinate of array index 0 on this axis —
     it must be carried across levels because the downsample-by-2 parity is
-    defined on *coordinates*, not array indices (the sparse Spark path
-    works in coordinates natively). Returns (array, new origin).
+    defined on *coordinates*, not array indices (the sparse path works
+    in coordinates natively). Returns (array, new origin).
     """
     a = np.moveaxis(a, axis, 0)
     n = a.shape[0]
@@ -158,37 +157,45 @@ def dwt_dense(
     return out
 
 
-def dwt_spark(
-    grid: DataFrame,
-    d: int,
+def _sum_duplicates(coords: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge equal rows of ``coords``, summing their ``values``; rows come out sorted."""
+    if not len(coords):
+        return coords, values
+    # lexsort + run boundaries, not np.unique(axis=0): on a 154k-cell 6-d
+    # grid the unique-based kernel took 2.4 s (vs 0.5 s) and raised the
+    # driver's peak RSS by about 27 %.
+    order = np.lexsort(coords.T[::-1])
+    coords, values = coords[order], values[order]
+    starts = np.flatnonzero(np.r_[True, (coords[1:] != coords[:-1]).any(axis=1)])
+    return coords[starts], np.add.reduceat(values, starts)
+
+
+def dwt_sparse(
+    coords: np.ndarray,
+    density: np.ndarray,
     wavelet: str | Wavelet = "haar",
     levels: int = 1,
-    density_col: str = "density",
-) -> DataFrame:
-    """Sparse approximation-subband DWT of a quantized grid DataFrame.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse approximation-subband DWT of a quantized grid.
 
-    ``grid`` has integer columns ``c0..c{d-1}`` and a double ``density``.
-    Returns a DataFrame of the same shape holding the transformed grid.
-    Transformed coordinates relate to originals by ``t_j = c_j >> levels``
-    for the dominant tap (the lookup-table mapping).
+    ``coords`` is an (M, d) integer array of distinct occupied cells and
+    ``density`` their (M,) densities. Returns the transformed grid in the
+    same form, rows sorted lexicographically, coordinates in ``coords``'
+    dtype. Transformed coordinates relate to originals by
+    ``t_j = c_j >> levels`` for the dominant tap (the lookup-table mapping).
     """
     w = get_wavelet(wavelet)
-    taps = F.array(
-        *[
-            F.struct(F.lit(m).alias("m"), F.lit(float(h)).alias("h"))
-            for m, h in enumerate(w.taps)
-        ]
-    )
-    cols = cell_cols(d)
-    out = grid
+    out_c = np.asarray(coords)
+    out_v = np.asarray(density, dtype=np.float64)
     for _ in range(levels):
-        for j, cj in enumerate(cols):
-            num = F.col(cj) + F.lit(w.center) - F.col("tap.m")
-            out = (
-                out.select(*cols, density_col, F.explode(taps).alias("tap"))
-                .where(num % 2 == 0)
-                .withColumn(cj, (num / 2).cast("long"))
-                .groupBy(*cols)
-                .agg(F.sum(F.col(density_col) * F.col("tap.h")).alias(density_col))
-            )
-    return out
+        for j in range(out_c.shape[1]):
+            num = out_c[:, j] + w.center
+            parts_c, parts_v = [], []
+            for m, h in enumerate(w.taps):
+                sel = (num - m) % 2 == 0
+                c = out_c[sel]
+                c[:, j] = (num[sel] - m) // 2
+                parts_c.append(c)
+                parts_v.append(out_v[sel] * h)
+            out_c, out_v = _sum_duplicates(np.concatenate(parts_c), np.concatenate(parts_v))
+    return out_c, out_v

@@ -30,7 +30,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-__all__ = ["DATASETS", "make", "dataset_names"]
+__all__ = ["DATASETS", "make"]
 
 
 def _blobs(
@@ -205,14 +205,10 @@ DATASETS: dict[str, tuple[Callable[..., tuple[np.ndarray, np.ndarray]], int, int
 }
 
 
-def dataset_names() -> list[str]:
-    return list(DATASETS)
-
-
 def make(name: str, **kwargs) -> tuple[np.ndarray, np.ndarray]:
     """Generate a UCI-like dataset by Table I name."""
     try:
         gen, _, _ = DATASETS[name]
     except KeyError:
-        raise ValueError(f"unknown dataset {name!r}; available: {dataset_names()}") from None
+        raise ValueError(f"unknown dataset {name!r}; available: {sorted(DATASETS)}") from None
     return gen(**kwargs)

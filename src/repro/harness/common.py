@@ -3,8 +3,9 @@
 ``run_algo(spark, algo, X, y, ...)`` runs a named algorithm and returns
 ``(labels, seconds)``. Conventions shared by all experiments:
 
-- AdaWave runs distributed (Spark); k-means/EM run on Spark MLlib; the
-  remaining comparators are the from-scratch numpy implementations.
+- AdaWave runs its row-sized steps in Spark and its grid-sized steps on
+  the driver; k-means/EM run on Spark MLlib; the remaining comparators
+  are the from-scratch numpy implementations.
 - O(n^2)-ish comparators are fitted on a capped subsample and extended to
   the remaining points by nearest labeled neighbour (``_CAPS`` below,
   logged via the returned ``capped`` flag) — the paper ran the authors'

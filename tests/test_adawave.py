@@ -116,6 +116,41 @@ class TestAdaWaveBasics:
         with pytest.raises(ValueError, match="threshold"):
             adawave(df, ["x0", "x1"], threshold_method="nope")
 
+    def test_two_spark_actions_per_fit(self, spark, blobs2d, monkeypatch):
+        # the bounds aggregate and the grid collect; the label join runs
+        # only with the caller's action on the result
+        from pyspark.sql.classic.dataframe import DataFrame
+
+        _, _, df = blobs2d
+        calls, depth = [], [0]
+
+        def counted(name, fn):
+            def wrapper(self, *args, **kwargs):
+                if not depth[0]:
+                    calls.append(name)
+                depth[0] += 1
+                try:
+                    return fn(self, *args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        for name in ("collect", "count", "first", "head", "take", "toPandas", "toLocalIterator"):
+            monkeypatch.setattr(DataFrame, name, counted(name, getattr(DataFrame, name)))
+        out, model = adawave(df, ["x0", "x1"], keep_model=True)
+        assert calls == ["first", "toPandas"]
+        assert model.n_clusters == 3
+
+    def test_empty_input(self, spark):
+        df = spark.createDataFrame([], "id long, x0 double, x1 double")
+        out, model = adawave(df, ["x0", "x1"], keep_model=True)
+        assert out.columns == ["id", "x0", "x1", "cluster"]
+        assert dict(out.dtypes)["cluster"] == "bigint"
+        assert out.count() == 0
+        assert model.n_clusters == 0
+        assert model.n_grid_cells == model.n_kept_cells == 0
+        assert adawave(df, ["x0", "x1"]).columns == out.columns
+
     def test_angle_method_runs(self, spark, blobs2d):
         X, y, df = blobs2d
         out = adawave(df, ["x0", "x1"], threshold_method="angle")

@@ -176,4 +176,4 @@ class TestUciLike:
         assert corr(7) > 0.3   # Ba
 
     def test_dataset_names(self):
-        assert len(uci_like.dataset_names()) == 9
+        assert len(uci_like.DATASETS) == 9

@@ -5,6 +5,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.harness.__main__ import JOBS
+from repro.harness.__main__ import main as harness_main
 from repro.harness.common import ALGORITHMS, run_algo
 from repro.harness.fig8 import run_fig8
 from repro.harness.fig10 import run_fig10
@@ -114,3 +116,14 @@ class TestFig10:
         assert len(r) == 4
         assert (r.seconds > 0).all()
         assert sorted(r.n.unique().tolist()) == [2000, 4000]
+
+
+class TestEntryPoint:
+    def test_unknown_job_prints_usage(self, capsys):
+        assert harness_main(["nope"]) == 2
+        assert "python -m repro.harness" in capsys.readouterr().err
+
+    def test_adawave_job(self, spark, capsys):
+        JOBS["adawave"](spark, ["0.5", "400"])
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("gamma=0.5 n=") and "clusters=5" in line

@@ -7,8 +7,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
-from repro.core.quantize import GridSpec, assign_cells, fit_grid, grid_densities, quantize
+from repro.core.quantize import GridSpec, assign_cells, fit_grid, grid_densities
 from repro.datasets.synthetic import to_spark
 from repro.oracle import assert_equivalent
 
@@ -18,6 +17,10 @@ def points_df(spark):
     g = np.random.default_rng(0)
     X = g.random((500, 2))
     return to_spark(spark, X).cache()
+
+
+def grid_of(df, spec):
+    return grid_densities(assign_cells(df, spec), spec.d)
 
 
 class TestGridSpec:
@@ -40,6 +43,17 @@ class TestFitGrid:
         pdf = points_df.toPandas()
         assert spec.mins[0] == pytest.approx(pdf.x0.min())
         assert spec.maxs[1] == pytest.approx(pdf.x1.max())
+
+    def test_row_count_from_same_pass(self, points_df):
+        assert fit_grid(points_df, ["x0", "x1"], 8).n_rows == 500
+
+    def test_scale_rule_gets_row_count(self, points_df):
+        assert fit_grid(points_df, ["x0"], lambda n: n // 100).scale == 5
+
+    def test_empty_input_has_nan_bounds(self, spark):
+        spec = fit_grid(spark.createDataFrame([], "x0 double"), ["x0"], 8)
+        assert spec.n_rows == 0
+        assert np.isnan(spec.mins[0]) and np.isnan(spec.maxs[0])
 
     def test_bad_scale_raises(self, points_df):
         with pytest.raises(ValueError, match="scale"):
@@ -75,55 +89,51 @@ class TestAssignCells:
 
 class TestGridDensities:
     def test_total_mass_is_row_count(self, spark, points_df):
-        _, grid, _ = quantize(points_df, ["x0", "x1"], 8)
+        grid = grid_of(points_df, fit_grid(points_df, ["x0", "x1"], 8))
         assert grid.agg(F.sum("density")).first()[0] == points_df.count()
 
     def test_sparse_only_nonzero(self, spark, points_df):
-        _, grid, _ = quantize(points_df, ["x0", "x1"], 64)
+        grid = grid_of(points_df, fit_grid(points_df, ["x0", "x1"], 64))
         pdf = grid.toPandas()
         assert (pdf.density > 0).all()
         assert len(pdf) <= points_df.count()
 
     def test_oracle_groupby_equivalence(self, spark, points_df):
-        """The sparse grid is exactly a SQL GROUP BY: check with DuckDB."""
-        cells, grid, spec = quantize(points_df, ["x0", "x1"], 8)
-        w0, w1 = spec.width(0), spec.width(1)
-        sql = f"""
-            SELECT
-              LEAST(GREATEST(CAST(FLOOR((x0 - {spec.mins[0]}) / {w0}) AS BIGINT), 0), 7) AS c0,
-              LEAST(GREATEST(CAST(FLOOR((x1 - {spec.mins[1]}) / {w1}) AS BIGINT), 0), 7) AS c1,
-              CAST(COUNT(*) AS DOUBLE) AS density
-            FROM pts GROUP BY 1, 2
-        """
-        assert_equivalent(grid, sql, pts=points_df)
+        """The sparse grid is exactly a SQL GROUP BY: check with DuckDB.
 
-    def test_oracle_on_tpch_lineitem(self, spark):
-        """Quantize TPC-H-lite lineitem on price x quantity; oracle-check."""
-        li = synth_data.lineitem(spark, sf=0.001)
-        cells, grid, spec = quantize(li, ["l_extendedprice", "l_quantity"], 4)
-        w0, w1 = spec.width(0), spec.width(1)
-        sql = f"""
-            SELECT
-              LEAST(GREATEST(CAST(FLOOR((l_extendedprice - {spec.mins[0]}) / {w0}) AS BIGINT), 0), 3) AS c0,
-              LEAST(GREATEST(CAST(FLOOR((l_quantity - {spec.mins[1]}) / {w1}) AS BIGINT), 0), 3) AS c1,
-              CAST(COUNT(*) AS DOUBLE) AS density
-            FROM li GROUP BY 1, 2
+        Inputs: uniform points on a fine grid, and a price x quantity
+        table whose integer quantities tie on coarse cell edges.
         """
-        assert_equivalent(grid, sql, li=li)
+        g = np.random.default_rng(1)
+        items = spark.createDataFrame(pd.DataFrame({
+            "price": (g.random(6000) * 90000 + 900).round(2),
+            "quantity": g.integers(1, 51, 6000).astype("float64"),
+        }))
+        for df, (f0, f1), scale in ((points_df, ("x0", "x1"), 8), (items, ("price", "quantity"), 4)):
+            spec = fit_grid(df, [f0, f1], scale)
+            grid = grid_of(df, spec)
+            w0, w1 = spec.width(0), spec.width(1)
+            sql = f"""
+                SELECT
+                  LEAST(GREATEST(CAST(FLOOR(({f0} - {spec.mins[0]}) / {w0}) AS BIGINT), 0), {scale - 1}) AS c0,
+                  LEAST(GREATEST(CAST(FLOOR(({f1} - {spec.mins[1]}) / {w1}) AS BIGINT), 0), {scale - 1}) AS c1,
+                  CAST(COUNT(*) AS DOUBLE) AS density
+                FROM pts GROUP BY 1, 2
+            """
+            assert_equivalent(grid, sql, pts=df)
 
     def test_order_insensitive(self, spark, points_df):
         """Paper property: grid content independent of input row order."""
-        _, grid1, spec = quantize(points_df, ["x0", "x1"], 8)
-        shuffled = points_df.orderBy(F.rand(seed=42))
-        cells2 = assign_cells(shuffled, spec)
-        grid2 = grid_densities(cells2, 2)
+        spec = fit_grid(points_df, ["x0", "x1"], 8)
+        grid1 = grid_of(points_df, spec)
+        grid2 = grid_of(points_df.orderBy(F.rand(seed=42)), spec)
         p1 = grid1.toPandas().sort_values(["c0", "c1"]).reset_index(drop=True)
         p2 = grid2.toPandas().sort_values(["c0", "c1"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(p1, p2)
 
     def test_deterministic(self, spark, points_df):
-        _, g1, _ = quantize(points_df, ["x0", "x1"], 16)
-        _, g2, _ = quantize(points_df, ["x0", "x1"], 16)
+        g1 = grid_of(points_df, fit_grid(points_df, ["x0", "x1"], 16))
+        g2 = grid_of(points_df, fit_grid(points_df, ["x0", "x1"], 16))
         p1 = g1.toPandas().sort_values(["c0", "c1"]).reset_index(drop=True)
         p2 = g2.toPandas().sort_values(["c0", "c1"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(p1, p2)

@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.threshold import angle_threshold, elbow_threshold, filter_grid
+from repro.core.adawave import adawave
+from repro.core.threshold import angle_threshold, elbow_threshold
 
 
 def three_segment_curve(
@@ -87,26 +88,29 @@ class TestAngle:
 
 
 class TestFilterGrid:
+    """Thresholds used as a keep-mask over the sorted curve (``density > t``)."""
+
     def test_elbow_mask(self):
         y = three_segment_curve()
-        t, mask = filter_grid(y, method="elbow")
-        assert mask.dtype == bool
+        t = elbow_threshold(y)
+        mask = y > t
         assert mask.sum() >= 1
-        assert (y[mask] > t).all()
         assert (~mask[y <= t]).all()
 
     def test_angle_method(self):
         y = three_segment_curve()
-        t, mask = filter_grid(y, method="angle")
-        assert mask.any()
+        assert (y > angle_threshold(y)).any()
 
-    def test_unknown_method_raises(self):
-        with pytest.raises(ValueError, match="unknown"):
-            filter_grid(three_segment_curve(), method="magic")
+    def test_unknown_method_raises(self, spark):
+        # checked up front, also where the density curve is too short to
+        # reach any threshold method
+        df = spark.createDataFrame([(0.0,), (1.0,)], "x0 double")
+        with pytest.raises(ValueError, match="unknown threshold method"):
+            adawave(df, ["x0"], threshold_method="magic")
 
     def test_mask_keeps_head_of_sorted_curve(self):
         y = three_segment_curve()
-        _, mask = filter_grid(y)
-        # sorted descending: the kept region must be a prefix
-        kept_idx = np.flatnonzero(mask)
-        assert kept_idx.max() == len(kept_idx) - 1
+        for threshold in (elbow_threshold, angle_threshold):
+            # sorted descending: the kept region must be a prefix
+            kept_idx = np.flatnonzero(y > threshold(y))
+            assert kept_idx.max() == len(kept_idx) - 1

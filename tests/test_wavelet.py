@@ -2,10 +2,9 @@
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pytest
 
-from repro.core.wavelet import WAVELETS, cell_cols, dwt_dense, dwt_spark, get_wavelet
+from repro.core.wavelet import WAVELETS, cell_cols, dwt_dense, dwt_sparse, get_wavelet
 
 ALL_WAVELETS = sorted(WAVELETS)
 
@@ -86,60 +85,80 @@ class TestDenseDWT:
 
 
 class TestSparseSparkDWT:
-    @pytest.fixture()
-    def grid_df(self, spark):
-        def make(arr_2d):
-            rows = [
-                {"c0": int(i), "c1": int(j), "density": float(v)}
-                for (i, j), v in np.ndenumerate(arr_2d)
-                if v != 0
-            ]
-            return spark.createDataFrame(pd.DataFrame(rows))
+    """The sparse DWT (``dwt_sparse``) against the dense oracle.
 
-        return make
+    The class keeps the name it had when the sparse transform ran in Spark,
+    so the test ids stay stable.
+    """
+
+    @staticmethod
+    def sparse(a):
+        """(coords, densities) of the non-zero cells of a dense array."""
+        coords = np.argwhere(a != 0)
+        return coords, a[tuple(coords.T)]
 
     @pytest.mark.parametrize("name", ALL_WAVELETS)
     @pytest.mark.parametrize("levels", [1, 2])
-    def test_sparse_matches_dense_values(self, spark, grid_df, name, levels):
+    def test_sparse_matches_dense_values(self, name, levels):
         g = np.random.default_rng(hash((name, levels)) % 2**31)
         a = np.where(g.random((12, 12)) < 0.3, g.random((12, 12)) * 10, 0.0)
         if a.sum() == 0:
             a[3, 3] = 5.0
         dense = dwt_dense(a, name, levels=levels)
-        sparse = dwt_spark(grid_df(a), 2, name, levels=levels).toPandas()
-        got = np.sort(sparse[np.abs(sparse.density) > 1e-9].density.to_numpy())
+        _, dens = dwt_sparse(*self.sparse(a), name, levels=levels)
+        got = np.sort(dens[np.abs(dens) > 1e-9])
         want = np.sort(dense[np.abs(dense) > 1e-9].ravel())
         assert np.allclose(got, want, atol=1e-9), f"{name} L{levels}"
 
-    def test_haar_output_count_never_grows(self, spark, grid_df):
+    def test_haar_output_count_never_grows(self):
         g = np.random.default_rng(1)
         a = np.where(g.random((16, 16)) < 0.1, 1.0, 0.0)
         n_in = int((a != 0).sum())
-        out = dwt_spark(grid_df(a), 2, "haar", levels=1)
-        assert out.count() <= n_in
+        coords, _ = dwt_sparse(*self.sparse(a), "haar", levels=1)
+        assert len(coords) <= n_in
 
-    def test_1d_sparse(self, spark):
-        df = spark.createDataFrame(pd.DataFrame({"c0": [0, 1, 5], "density": [1.0, 1.0, 2.0]}))
-        out = dwt_spark(df, 1, "haar", levels=1).toPandas().sort_values("c0")
+    def test_1d_sparse(self):
+        coords, dens = dwt_sparse(np.array([[0], [1], [5]]), np.array([1.0, 1.0, 2.0]), "haar", 1)
         # cells 0,1 pair into output 0; cell 5 (odd) pairs into output 2
-        assert out.c0.tolist() == [0, 2]
-        assert np.allclose(out.density.to_numpy(), [2 / np.sqrt(2), 2 / np.sqrt(2)])
+        assert coords[:, 0].tolist() == [0, 2]
+        assert np.allclose(dens, [2 / np.sqrt(2), 2 / np.sqrt(2)])
 
-    def test_deterministic(self, spark, grid_df):
+    def test_deterministic(self):
         a = np.zeros((8, 8))
         a[2, 2] = 3.0
         a[5, 6] = 1.0
-        r1 = dwt_spark(grid_df(a), 2, "cdf2.2", 1).toPandas().sort_values(["c0", "c1"])
-        r2 = dwt_spark(grid_df(a), 2, "cdf2.2", 1).toPandas().sort_values(["c0", "c1"])
-        pd.testing.assert_frame_equal(r1.reset_index(drop=True), r2.reset_index(drop=True))
+        c1, v1 = dwt_sparse(*self.sparse(a), "cdf2.2", 1)
+        c2, v2 = dwt_sparse(*self.sparse(a), "cdf2.2", 1)
+        assert np.array_equal(c1, c2) and np.array_equal(v1, v2)
 
-    def test_3d_haar(self, spark):
-        rows = [
-            {"c0": 0, "c1": 0, "c2": 0, "density": 4.0},
-            {"c0": 1, "c1": 1, "c2": 1, "density": 4.0},
-        ]
-        df = spark.createDataFrame(pd.DataFrame(rows))
-        out = dwt_spark(df, 3, "haar", 1).toPandas()
+    def test_3d_haar(self):
+        coords = np.array([[0, 0, 0], [1, 1, 1]])
+        out_c, out_v = dwt_sparse(coords, np.array([4.0, 4.0]), "haar", 1)
         # both cells map to transformed cell (0,0,0); mass 8 / sqrt(2)^3
-        assert len(out) == 1
-        assert out.density.iloc[0] == pytest.approx(8.0 / 2 ** 1.5)
+        assert out_c.tolist() == [[0, 0, 0]]
+        assert out_v[0] == pytest.approx(8.0 / 2 ** 1.5)
+
+    @pytest.mark.parametrize("name", ALL_WAVELETS)
+    def test_input_order_insensitive(self, name):
+        g = np.random.default_rng(2)
+        a = np.where(g.random((10, 10, 3)) < 0.3, g.random((10, 10, 3)), 0.0)
+        coords, dens = self.sparse(a)
+        perm = g.permutation(len(dens))
+        c1, v1 = dwt_sparse(coords, dens, name, 2)
+        c2, v2 = dwt_sparse(coords[perm], dens[perm], name, 2)
+        assert np.array_equal(c1, c2)
+        assert np.allclose(v1, v2, rtol=0, atol=1e-12)
+
+    def test_33d_coarse_grid(self):
+        # a scale-4 grid at d=33 has 4**33 > 2**63 cells: grouping must not
+        # pack a cell into one integer key
+        g = np.random.default_rng(3)
+        coords = np.unique(g.integers(0, 4, (500, 33)), axis=0)
+        dens = g.random(len(coords)) + 1.0
+        out_c, out_v = dwt_sparse(coords, dens, "haar", 1)
+        assert out_c.shape[1] == 33 and out_c.max() <= 1
+        assert len(np.unique(out_c, axis=0)) == len(out_c)
+        assert out_v.sum() == pytest.approx(dens.sum() / 2 ** 16.5)
+        # each output cell sums the inputs that halve onto it
+        first = np.flatnonzero((coords >> 1 == out_c[0]).all(axis=1))
+        assert out_v[0] == pytest.approx(dens[first].sum() / 2 ** 16.5)
