@@ -23,6 +23,21 @@ def grid_of(df, spec):
     return grid_densities(assign_cells(df, spec), spec.d)
 
 
+def assert_groupby_oracle(df, features, scale):
+    """Check the sparse grid of ``df`` against a DuckDB GROUP BY."""
+    f0, f1 = features
+    spec = fit_grid(df, [f0, f1], scale)
+    w0, w1 = spec.width(0), spec.width(1)
+    sql = f"""
+        SELECT
+          LEAST(GREATEST(CAST(FLOOR(({f0} - {spec.mins[0]}) / {w0}) AS BIGINT), 0), {scale - 1}) AS c0,
+          LEAST(GREATEST(CAST(FLOOR(({f1} - {spec.mins[1]}) / {w1}) AS BIGINT), 0), {scale - 1}) AS c1,
+          CAST(COUNT(*) AS DOUBLE) AS density
+        FROM pts GROUP BY 1, 2
+    """
+    assert_equivalent(grid_of(df, spec), sql, pts=df)
+
+
 class TestGridSpec:
     def test_width(self):
         spec = GridSpec(("x",), (0.0,), (10.0,), 5)
@@ -99,28 +114,18 @@ class TestGridDensities:
         assert len(pdf) <= points_df.count()
 
     def test_oracle_groupby_equivalence(self, spark, points_df):
-        """The sparse grid is exactly a SQL GROUP BY: check with DuckDB.
+        """The sparse grid is exactly a SQL GROUP BY: check with DuckDB."""
+        assert_groupby_oracle(points_df, ("x0", "x1"), 8)
 
-        Inputs: uniform points on a fine grid, and a price x quantity
-        table whose integer quantities tie on coarse cell edges.
-        """
-        g = np.random.default_rng(1)
-        items = spark.createDataFrame(pd.DataFrame({
-            "price": (g.random(6000) * 90000 + 900).round(2),
-            "quantity": g.integers(1, 51, 6000).astype("float64"),
+    def test_oracle_on_tpch_lineitem(self, spark):
+        """Lineitem-like price x quantity table; integer quantities tie on
+        coarse cell edges. Oracle-check the grid against DuckDB."""
+        g = np.random.default_rng(0)
+        li = spark.createDataFrame(pd.DataFrame({
+            "l_quantity": g.integers(1, 51, 6000).astype("float64"),
+            "l_extendedprice": (g.random(6000) * 90000 + 900).round(2),
         }))
-        for df, (f0, f1), scale in ((points_df, ("x0", "x1"), 8), (items, ("price", "quantity"), 4)):
-            spec = fit_grid(df, [f0, f1], scale)
-            grid = grid_of(df, spec)
-            w0, w1 = spec.width(0), spec.width(1)
-            sql = f"""
-                SELECT
-                  LEAST(GREATEST(CAST(FLOOR(({f0} - {spec.mins[0]}) / {w0}) AS BIGINT), 0), {scale - 1}) AS c0,
-                  LEAST(GREATEST(CAST(FLOOR(({f1} - {spec.mins[1]}) / {w1}) AS BIGINT), 0), {scale - 1}) AS c1,
-                  CAST(COUNT(*) AS DOUBLE) AS density
-                FROM pts GROUP BY 1, 2
-            """
-            assert_equivalent(grid, sql, pts=df)
+        assert_groupby_oracle(li, ("l_extendedprice", "l_quantity"), 4)
 
     def test_order_insensitive(self, spark, points_df):
         """Paper property: grid content independent of input row order."""
