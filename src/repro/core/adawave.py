@@ -38,6 +38,9 @@ from repro.core.wavelet import cell_cols, dwt_sparse, get_wavelet
 __all__ = ["AdaWaveModel", "adawave", "auto_params"]
 
 _EPS_COEF = 1e-9  # "wavelet coefficients close to zero" cutoff (paper step 2)
+# components with less than this share of the surviving density mass are
+# folded back into noise (see `adawave`)
+_MIN_COMPONENT_FRAC = 0.02
 
 
 def auto_params(d: int, n: int | None = None) -> tuple[int, int, str]:
@@ -93,16 +96,15 @@ def adawave(
     levels: int | None = None,
     wavelet: str | None = None,
     threshold_method: str = "elbow",
-    adjacency: str = "auto",
-    min_component_frac: float = 0.02,
     keep_model: bool = False,
 ) -> DataFrame | tuple[DataFrame, AdaWaveModel]:
     """Cluster ``df`` on ``features``; returns ``df`` + ``cluster`` column.
 
     Noise objects get cluster ``-1``; clusters are labeled ``0..k-1`` in
     first-appearance order of their cells in the lexicographically sorted
-    grid collection (deterministic). Components carrying less than
-    ``min_component_frac`` of the surviving density mass are folded back
+    grid collection (deterministic). Surviving cells are connected with
+    Chebyshev adjacency for d <= 3 and face adjacency above that. Components
+    carrying less than 2 % of the surviving density mass are folded back
     into noise — the grid-level analogue of the paper's "further eliminate the
     noise grids" (randomness in dense noise always leaves a few isolated
     above-threshold cells; the paper reports exactly 5+noise clusters, so
@@ -166,16 +168,15 @@ def adawave(
     if len(kcoords):
         order = np.lexsort(kcoords.T[::-1])  # deterministic label numbering
         kcoords, kdens = kcoords[order], kdens[order]
-        labels = connected_components(kcoords, adjacency=adjacency)
+        labels = connected_components(kcoords)
         # prune spurious micro-components back into noise, by density mass
         # (not cell count: a legitimate cluster may occupy one cell when the
         # grid is coarse, but it carries a large share of the total mass)
-        if len(labels) and min_component_frac > 0:
-            mass = np.zeros(int(labels.max()) + 1)
-            np.add.at(mass, labels, kdens)
-            ok = mass[labels] >= min_component_frac * mass.sum()
-            kcoords = kcoords[ok]
-            _, labels = np.unique(labels[ok], return_inverse=True)
+        mass = np.zeros(int(labels.max()) + 1)
+        np.add.at(mass, labels, kdens)
+        ok = mass[labels] >= _MIN_COMPONENT_FRAC * mass.sum()
+        kcoords = kcoords[ok]
+        _, labels = np.unique(labels[ok], return_inverse=True)
         n_clusters = int(labels.max()) + 1 if len(labels) else 0
     else:
         labels = np.array([], dtype=np.int64)

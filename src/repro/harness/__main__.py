@@ -8,29 +8,15 @@ Usage::
     python -m repro.harness fig10 [n1 n2 ...]      # Fig. 10: wall time vs n at 75 % noise
     python -m repro.harness adawave [gamma] [n_per_cluster]  # AdaWave on the synthetic benchmark
 
-The session has the test fixture's settings: ``SPARK_MASTER`` (default
-``local[*]``), ``SPARK_SHUFFLE_PARTITIONS`` (default 64), Arrow on, and
-broadcast joins off.
+The session comes from :func:`repro.harness.get_session`.
 """
 from __future__ import annotations
 
-import os
 import sys
 
 from pyspark.sql import SparkSession
 
-
-def get_session(app: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app)
-        .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.driver.host", "127.0.0.1")
-        .config("spark.ui.enabled", "false")
-        .getOrCreate()
-    )
+from repro.harness import get_session
 
 
 def table1(spark: SparkSession, args: list[str]) -> None:

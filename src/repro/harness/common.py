@@ -89,7 +89,6 @@ def run_algo(
     eval_mask: np.ndarray | None = None,
     assign_noise: bool = False,
     seed: int = 0,
-    adawave_kwargs: dict | None = None,
 ) -> AlgoResult:
     """Run one algorithm; returns labels aligned to rows of X and wall time.
 
@@ -110,10 +109,9 @@ def run_algo(
     if algo == "adawave":
         df = to_spark(spark, X)
         feats = [f"x{j}" for j in range(X.shape[1])]
-        kw = adawave_kwargs or {}
         d = X.shape[1]
-        if "scale" in kw or d <= 4:
-            candidates = [kw.pop("scale", None)] if "scale" in kw else [None]
+        if d <= 4:
+            candidates = [None]
         else:
             # mid/high-d small-data regime: the right grid granularity
             # depends on the (unknown) class spread — try the auto scale
@@ -124,7 +122,7 @@ def run_algo(
             candidates = sorted({max(2, auto_scale // 2), auto_scale, auto_scale * 2})
         best = None
         for sc in candidates:
-            out, model = adawave(df, feats, scale=sc, keep_model=True, **kw)
+            out, model = adawave(df, feats, scale=sc, keep_model=True)
             if best is None or model.n_clusters > best[1].n_clusters:
                 best = (out, model)
         out = best[0]

@@ -95,6 +95,10 @@ class TestConnectedComponents:
     def test_auto_picks_by_dimension(self):
         diag2 = np.array([[0, 0], [1, 1]])
         assert len(set(connected_components(diag2, "auto"))) == 1  # chebyshev
+        diag3 = np.array([[0, 0, 0], [1, 1, 1]])
+        assert len(set(connected_components(diag3, "auto"))) == 1  # chebyshev up to d=3
+        diag4 = np.array([[0, 0, 0, 0], [1, 1, 1, 1]])
+        assert len(set(connected_components(diag4, "auto"))) == 2  # face from d=4
         diag5 = np.zeros((2, 5), dtype=int)
         diag5[1] = 1
         assert len(set(connected_components(diag5, "auto"))) == 2  # face
