@@ -16,10 +16,12 @@ One fit runs two Spark actions on its input — the row count and bounds
 aggregate, and the grid collect; the label join runs with the caller's
 action on the result.
 
-Defaults are auto-derived from the dimensionality (the paper's notion of
-"parameter-free": `scale=128` for the 2-D experiments; coarser grids and a
-fanout-1 wavelet for higher d, because an L-tap filter multiplies the
-sparse-cell count by up to ceil(L/2) per dimension pass).
+There is one configuration per dimensionality (the paper's notion of
+"parameter-free"): `auto_params` picks the grid scale, the levels and the
+wavelet — `scale=128` and CDF(2,2) for the 2-D experiments; coarser grids
+and the fanout-1 Haar filter for higher d, because an L-tap filter
+multiplies the sparse-cell count by up to ceil(L/2) per dimension pass.
+Only the scale can be overridden.
 """
 from __future__ import annotations
 
@@ -32,8 +34,8 @@ from pyspark.sql import functions as F
 
 from repro.core.components import connected_components
 from repro.core.quantize import GridSpec, assign_cells, fit_grid, grid_densities
-from repro.core.threshold import angle_threshold, elbow_threshold
-from repro.core.wavelet import cell_cols, dwt_sparse, get_wavelet
+from repro.core.threshold import elbow_threshold
+from repro.core.wavelet import cell_cols, dwt_sparse
 
 __all__ = ["AdaWaveModel", "adawave", "auto_params"]
 
@@ -93,9 +95,6 @@ def adawave(
     features: list[str],
     *,
     scale: int | None = None,
-    levels: int | None = None,
-    wavelet: str | None = None,
-    threshold_method: str = "elbow",
     keep_model: bool = False,
 ) -> DataFrame | tuple[DataFrame, AdaWaveModel]:
     """Cluster ``df`` on ``features``; returns ``df`` + ``cluster`` column.
@@ -109,21 +108,12 @@ def adawave(
     noise grids" (randomness in dense noise always leaves a few isolated
     above-threshold cells; the paper reports exactly 5+noise clusters, so
     its implementation necessarily prunes these too). An empty ``df`` gives
-    an empty result and no clusters. With ``keep_model=True`` also returns
-    the fitted :class:`AdaWaveModel`.
+    an empty result and no clusters. ``scale`` overrides the grid scale;
+    the levels and the wavelet always come from :func:`auto_params`. With
+    ``keep_model=True`` also returns the fitted :class:`AdaWaveModel`.
     """
-    if threshold_method not in ("elbow", "angle"):
-        raise ValueError(f"unknown threshold method {threshold_method!r}")
     d = len(features)
-    _, a_levels, a_wavelet = auto_params(d)
-    levels = a_levels if levels is None else levels
-    w = get_wavelet(a_wavelet if wavelet is None else wavelet)
-    if d > 6 and w.max_fanout > 1:
-        raise ValueError(
-            f"wavelet {w.name!r} has fanout {w.max_fanout} per dimension; "
-            f"at d={d} the sparse transform may grow by {w.max_fanout}**{d}. "
-            "Use 'haar' for high-dimensional data."
-        )
+    _, levels, wavelet = auto_params(d)
 
     # -- step 1: quantize (Spark), then collect the sparse grid ------------
     spec = fit_grid(
@@ -138,7 +128,7 @@ def adawave(
 
     # -- steps 2-3 (driver): transform, coefficient denoising, adaptive
     # threshold ------------------------------------------------------------
-    tcoords, tdens = dwt_sparse(coords, grid_dens, w, levels)
+    tcoords, tdens = dwt_sparse(coords, grid_dens, wavelet, levels)
     n_transformed = len(tdens)
     nonzero = tdens > _EPS_COEF
     tcoords, tdens = tcoords[nonzero], tdens[nonzero]
@@ -148,14 +138,12 @@ def adawave(
         # no signal/noise split to find (typical of coarse high-d grids) —
         # keep everything rather than elbow on structureless data
         t = float(dens[-1]) - 1.0 if len(dens) else 0.0
-    elif threshold_method == "elbow":
+    else:
         # 2-D noisy grids have a dominant signal/noise corner (stage 1);
         # coarse high-d grids have no uniform-noise plateau, and the first
         # corner would amputate minority clusters — cut at the second,
         # gentler corner instead (the paper's literal three-segment read)
         t = elbow_threshold(dens, stage=1 if d <= 2 else 2)
-    else:
-        t = angle_threshold(dens)
     keep = tdens > t
     if len(tdens) and not keep.any():
         # a degenerate elbow (e.g. all-equal densities) must not erase the
@@ -206,7 +194,7 @@ def adawave(
         spec=spec,
         scale=spec.scale,
         levels=levels,
-        wavelet=w.name,
+        wavelet=wavelet,
         threshold=float(t),
         n_clusters=n_clusters,
         n_grid_cells=n_grid,

@@ -3,12 +3,12 @@
 After threshold filtering the transformed grid set is small by
 construction (M ≪ N — the paper's complexity argument rests on it), so
 components are found on the driver with a union-find over a hash set of
-cells. Two adjacency notions:
+cells. The adjacency rule is fixed by the dimensionality:
 
-- ``"face"``: cells sharing a (d-1)-face, i.e. coordinates differing by 1
-  in exactly one dimension — O(M·d) lookups, usable at any d.
-- ``"chebyshev"``: all 3^d - 1 neighbours (8-connectivity in 2-D, as
+- d <= 3: Chebyshev, all 3^d - 1 neighbours (8-connectivity in 2-D, as
   WaveCluster uses) — only sensible for small d.
+- d > 3: face, cells sharing a (d-1)-face, i.e. coordinates differing by 1
+  in exactly one dimension — O(M·d) lookups, usable at any d.
 
 ``connected_components`` returns a label per input cell, 0..k-1.
 """
@@ -46,14 +46,13 @@ class UnionFind:
         self.size[ra] += self.size[rb]
 
 
-def connected_components(
-    cells: np.ndarray, adjacency: str = "auto"
-) -> np.ndarray:
+def connected_components(cells: np.ndarray) -> np.ndarray:
     """Label connected components of a set of integer grid cells.
 
-    ``cells`` is an (M, d) integer array of distinct cell coordinates.
-    Returns an (M,) int array of component labels numbered 0..k-1 in order
-    of first appearance (deterministic for a deterministic input order).
+    ``cells`` is an (M, d) integer array of distinct cell coordinates;
+    adjacency is Chebyshev for d <= 3 and face above that. Returns an (M,)
+    int array of component labels numbered 0..k-1 in order of first
+    appearance (deterministic for a deterministic input order).
     """
     cells = np.asarray(cells, dtype=np.int64)
     if cells.ndim != 2:
@@ -61,23 +60,15 @@ def connected_components(
     m, d = cells.shape
     if m == 0:
         return np.zeros(0, dtype=np.int64)
-    if adjacency == "auto":
-        adjacency = "chebyshev" if d <= 3 else "face"
     index = {tuple(row): i for i, row in enumerate(cells.tolist())}
     if len(index) != m:
         raise ValueError("duplicate cells in input")
 
-    if adjacency == "face":
-        offsets = []
-        for j in range(d):
-            off = [0] * d
-            off[j] = 1
-            offsets.append(tuple(off))
-    elif adjacency == "chebyshev":
+    if d <= 3:  # Chebyshev
         offsets = [o for o in product((-1, 0, 1), repeat=d) if any(o) and o > tuple([0] * d)]
         # only "positive" half of the offsets: each pair checked once
-    else:
-        raise ValueError(f"unknown adjacency {adjacency!r}")
+    else:  # face
+        offsets = [tuple(int(i == j) for i in range(d)) for j in range(d)]
 
     uf = UnionFind(m)
     for cell, i in index.items():

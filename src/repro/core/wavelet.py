@@ -3,8 +3,10 @@
 AdaWave only ever keeps the *average* subband (the LL…L approximation), so
 the transform reduces to: convolve with the low-pass analysis filter and
 downsample by 2, once per (dimension x level) — Mallat's algorithm
-restricted to the scale space. The container has no PyWavelets, so the
-analysis low-pass coefficients are hard-coded from the literature.
+restricted to the scale space. Two filters are defined, the two that
+``adawave.auto_params`` picks: Haar and CDF(2,2). PyWavelets is not a
+dependency, so their analysis low-pass coefficients are hard-coded from
+the literature.
 
 Two implementations, cross-checked in tests:
 
@@ -43,28 +45,13 @@ class Wavelet:
     taps: tuple[float, ...]
     center: int
 
-    @property
-    def max_fanout(self) -> int:
-        """Upper bound on output cells one input cell can touch per pass."""
-        return (len(self.taps) + 1) // 2
-
 
 WAVELETS: dict[str, Wavelet] = {
-    # Haar: the only filter with fanout 1 — mandatory for high-d data,
-    # since fanout^d otherwise blows up the sparse grid.
+    # Haar: fanout 1 (one output cell per input cell and pass) — used for
+    # every d > 2, since fanout^d otherwise blows up the sparse grid.
     "haar": Wavelet("haar", (1.0 / _SQRT2, 1.0 / _SQRT2), 0),
-    # Daubechies-2 (4-tap). "Daubechies" in the paper's Section IV-B.
-    "db2": Wavelet(
-        "db2",
-        (
-            (1 + np.sqrt(3.0)) / (4 * _SQRT2),
-            (3 + np.sqrt(3.0)) / (4 * _SQRT2),
-            (3 - np.sqrt(3.0)) / (4 * _SQRT2),
-            (1 - np.sqrt(3.0)) / (4 * _SQRT2),
-        ),
-        1,
-    ),
-    # Cohen-Daubechies-Feauveau (2,2): the 5/3 LeGall analysis low-pass.
+    # Cohen-Daubechies-Feauveau (2,2): the 5/3 LeGall analysis low-pass,
+    # used for d <= 2; fanout 3.
     "cdf2.2": Wavelet(
         "cdf2.2",
         (
@@ -75,23 +62,6 @@ WAVELETS: dict[str, Wavelet] = {
             -0.125 * _SQRT2,
         ),
         2,
-    ),
-    # Cohen-Daubechies-Feauveau (4,2): 9-tap analysis low-pass
-    # (coefficients as in bior2.4's decomposition filter).
-    "cdf4.2": Wavelet(
-        "cdf4.2",
-        (
-            0.033145630368119419 * 1.0,
-            -0.066291260736238838 * 1.0,
-            -0.17677669529663689 * 1.0,
-            0.41984465132951254 * 1.0,
-            0.99436891104358249 * 1.0,
-            0.41984465132951254 * 1.0,
-            -0.17677669529663689 * 1.0,
-            -0.066291260736238838 * 1.0,
-            0.033145630368119419 * 1.0,
-        ),
-        4,
     ),
 }
 

@@ -18,30 +18,19 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.datasets.synthetic import paper_synthetic
-from repro.harness.common import run_algo
+from repro.harness.common import ALGORITHMS, run_algo
 from repro.metrics.ami import ami
 
-__all__ = ["PAPER_FIG8_SHAPE", "run_fig8", "DEFAULT_GAMMAS"]
+__all__ = ["run_fig8", "DEFAULT_GAMMAS"]
 
 DEFAULT_GAMMAS = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-FIG8_ALGOS = ("adawave", "skinnydip", "dbscan", "em", "kmeans", "stsc", "dipmeans", "ric")
-
-# Qualitative anchors read off the paper (Figs 2/8 and Section VI):
-# AdaWave ~0.76 at 50 % noise and stays on top of every baseline across
-# the sweep; DBSCAN declines sharply past 20 % noise; k-means ~0.25;
-# SkinnyDip mid-pack (clusters are not unimodal per dimension); RIC ~0.
-PAPER_FIG8_SHAPE = {
-    "adawave_at_50": 0.76,
-    "kmeans_running_example": 0.25,
-    "dbscan_running_example": 0.28,
-}
 
 
 def run_fig8(
     spark: SparkSession,
     *,
     gammas: tuple[float, ...] = DEFAULT_GAMMAS,
-    algorithms: tuple[str, ...] = FIG8_ALGOS,
+    algorithms: tuple[str, ...] = ALGORITHMS,
     n_per_cluster: int = 5600,
     seed: int = 0,
 ) -> pd.DataFrame:

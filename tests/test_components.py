@@ -44,17 +44,12 @@ class TestConnectedComponents:
 
     def test_two_adjacent_cells_face(self):
         cells = np.array([[0, 0], [0, 1]])
-        labels = connected_components(cells, "face")
+        labels = connected_components(cells)
         assert labels[0] == labels[1]
-
-    def test_diagonal_cells_face_vs_chebyshev(self):
-        cells = np.array([[0, 0], [1, 1]])
-        assert len(set(connected_components(cells, "face"))) == 2
-        assert len(set(connected_components(cells, "chebyshev"))) == 1
 
     def test_two_separate_blocks(self):
         cells = np.array([[0, 0], [0, 1], [10, 10], [10, 11]])
-        labels = connected_components(cells, "chebyshev")
+        labels = connected_components(cells)
         assert labels[0] == labels[1]
         assert labels[2] == labels[3]
         assert labels[0] != labels[2]
@@ -67,21 +62,21 @@ class TestConnectedComponents:
                             ).astype(int),
             axis=0,
         )
-        labels = connected_components(cells, "chebyshev")
+        labels = connected_components(cells)
         assert len(set(labels)) == 1
 
     def test_l_shape_one_component(self):
         cells = np.array([[0, 0], [1, 0], [2, 0], [2, 1], [2, 2]])
-        assert len(set(connected_components(cells, "face"))) == 1
+        assert len(set(connected_components(cells))) == 1
 
     def test_labels_are_dense_from_zero(self):
         cells = np.array([[0, 0], [5, 5], [9, 9], [5, 6]])
-        labels = connected_components(cells, "face")
+        labels = connected_components(cells)
         assert set(labels) == set(range(len(set(labels))))
 
     def test_first_appearance_order(self):
         cells = np.array([[0, 0], [5, 5], [0, 1]])
-        labels = connected_components(cells, "face")
+        labels = connected_components(cells)
         assert labels.tolist() == [0, 1, 0]
 
     def test_high_dimensional_face(self):
@@ -89,27 +84,23 @@ class TestConnectedComponents:
         a = np.zeros((3, d), dtype=int)
         a[1, 0] = 1  # face neighbour of a[0]
         a[2, :] = 7  # far away
-        labels = connected_components(a, "face")
+        labels = connected_components(a)
         assert labels[0] == labels[1] != labels[2]
 
     def test_auto_picks_by_dimension(self):
         diag2 = np.array([[0, 0], [1, 1]])
-        assert len(set(connected_components(diag2, "auto"))) == 1  # chebyshev
+        assert len(set(connected_components(diag2))) == 1  # chebyshev
         diag3 = np.array([[0, 0, 0], [1, 1, 1]])
-        assert len(set(connected_components(diag3, "auto"))) == 1  # chebyshev up to d=3
+        assert len(set(connected_components(diag3))) == 1  # chebyshev up to d=3
         diag4 = np.array([[0, 0, 0, 0], [1, 1, 1, 1]])
-        assert len(set(connected_components(diag4, "auto"))) == 2  # face from d=4
+        assert len(set(connected_components(diag4))) == 2  # face from d=4
         diag5 = np.zeros((2, 5), dtype=int)
         diag5[1] = 1
-        assert len(set(connected_components(diag5, "auto"))) == 2  # face
+        assert len(set(connected_components(diag5))) == 2  # face
 
     def test_duplicates_raise(self):
         with pytest.raises(ValueError, match="duplicate"):
             connected_components(np.array([[1, 1], [1, 1]]))
-
-    def test_bad_adjacency_raises(self):
-        with pytest.raises(ValueError, match="adjacency"):
-            connected_components(np.array([[0, 0]]), "manhattan")
 
     def test_bad_shape_raises(self):
         with pytest.raises(ValueError, match="M, d"):
@@ -118,5 +109,5 @@ class TestConnectedComponents:
     def test_grid_line_components_count(self):
         # 3 separate horizontal strips
         cells = np.array([[x, y] for y in (0, 5, 10) for x in range(4)])
-        labels = connected_components(cells, "face")
+        labels = connected_components(cells)
         assert len(set(labels)) == 3

@@ -1,11 +1,10 @@
-"""Unit tests for the adaptive elbow / angle threshold detectors."""
+"""Unit tests for the adaptive elbow threshold detector."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.adawave import adawave
-from repro.core.threshold import angle_threshold, elbow_threshold
+from repro.core.threshold import elbow_threshold
 
 
 def three_segment_curve(
@@ -29,12 +28,12 @@ class TestElbow:
     def test_three_segment_stage2_below_stage1(self):
         y = three_segment_curve()
         t1 = elbow_threshold(y, stage=1)
-        t2 = elbow_threshold(y, stage=2, min_significance=0.05)
+        t2 = elbow_threshold(y, stage=2)
         assert t2 <= t1
 
     def test_stage2_finds_middle_noise_corner(self):
         y = three_segment_curve(knee1=20.0, knee2=2.0)
-        t2 = elbow_threshold(y, stage=2, min_significance=0.05)
+        t2 = elbow_threshold(y, stage=2)
         assert 1.0 <= t2 <= 6.0
 
     def test_flat_curve_keeps_everything(self):
@@ -66,27 +65,6 @@ class TestElbow:
         assert t in y or t < y.min()
 
 
-class TestAngle:
-    def test_finds_turn_on_ideal_curve(self):
-        y = three_segment_curve(n_signal=50, n_middle=150, n_noise=300)
-        t = angle_threshold(y, window=5)
-        # should stop somewhere in the signal->middle or middle->noise bend
-        assert y.min() <= t <= y.max()
-        assert t >= 1.0
-
-    def test_flat_curve_keeps_everything(self):
-        y = np.full(50, 2.0)
-        assert angle_threshold(y) < 2.0
-
-    def test_no_turn_keeps_everything(self):
-        y = np.linspace(100, 1, 200)  # straight line: no sharp turn
-        assert angle_threshold(y, drop=1.0) < 1.0
-
-    def test_short_input(self):
-        assert angle_threshold(np.array([2.0, 1.0])) < 1.0
-        assert angle_threshold(np.array([])) == 0.0
-
-
 class TestFilterGrid:
     """Thresholds used as a keep-mask over the sorted curve (``density > t``)."""
 
@@ -97,20 +75,8 @@ class TestFilterGrid:
         assert mask.sum() >= 1
         assert (~mask[y <= t]).all()
 
-    def test_angle_method(self):
-        y = three_segment_curve()
-        assert (y > angle_threshold(y)).any()
-
-    def test_unknown_method_raises(self, spark):
-        # checked up front, also where the density curve is too short to
-        # reach any threshold method
-        df = spark.createDataFrame([(0.0,), (1.0,)], "x0 double")
-        with pytest.raises(ValueError, match="unknown threshold method"):
-            adawave(df, ["x0"], threshold_method="magic")
-
     def test_mask_keeps_head_of_sorted_curve(self):
         y = three_segment_curve()
-        for threshold in (elbow_threshold, angle_threshold):
-            # sorted descending: the kept region must be a prefix
-            kept_idx = np.flatnonzero(y > threshold(y))
-            assert kept_idx.max() == len(kept_idx) - 1
+        # sorted descending: the kept region must be a prefix
+        kept_idx = np.flatnonzero(y > elbow_threshold(y))
+        assert kept_idx.max() == len(kept_idx) - 1
