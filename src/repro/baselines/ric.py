@@ -26,6 +26,7 @@ from repro.baselines.api import kmeans_np
 __all__ = ["ric"]
 
 _LOG2E = float(np.log2(np.e))
+_MAX_ROUNDS = 10  # purify-then-merge rounds
 
 
 def _gauss_bits(pts: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -57,7 +58,6 @@ def ric(
     k0: int | None = None,
     *,
     seed: int = 41,
-    max_rounds: int = 10,
 ) -> np.ndarray:
     """Purified clustering; labels 0..k-1 with -1 for noise points."""
     X = np.asarray(X, dtype=np.float64)
@@ -68,7 +68,7 @@ def ric(
     lo, hi = X.min(axis=0), X.max(axis=0)
     noise_rate = _noise_bits(d, lo, hi)
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         # --- purification ---------------------------------------------
         for j in np.unique(labels[labels >= 0]):
             idx = np.flatnonzero(labels == j)

@@ -1,15 +1,14 @@
 """Self-tuning spectral clustering baseline (Zelnik-Manor & Perona 2004).
 
 Local-scale affinity A_ij = exp(-||xi-xj||^2 / (sigma_i sigma_j)) with
-sigma_i the distance to the 7th nearest neighbour, symmetric-normalized
-Laplacian, top-k eigenvectors (numpy ``eigh`` — no scipy in container),
-row normalization, then k-means in the embedding.
+sigma_i the distance to the 7th (``_K_NN``) nearest neighbour,
+symmetric-normalized Laplacian, top-k eigenvectors (numpy ``eigh`` — no
+scipy in container), row normalization, then k-means in the embedding.
 
-k is either given (the paper hands correct k to the automated baselines)
-or chosen by the eigengap heuristic — a documented simplification of
-STSC's rotation-alignment selection (DESIGN.md § 5). The O(n^2) affinity
-is capped at ``max_n`` points; out-of-sample points take the label of
-their nearest sampled neighbour.
+k is either given or, as in the harness, chosen by the eigengap heuristic
+— a documented simplification of STSC's rotation-alignment selection
+(DESIGN.md § 5). The O(n^2) affinity is capped at ``max_n`` points;
+out-of-sample points take the label of their nearest sampled neighbour.
 """
 from __future__ import annotations
 
@@ -19,13 +18,14 @@ from repro.baselines.api import kmeans_np, pairwise_sq_dists
 
 __all__ = ["stsc"]
 
+_K_NN = 7  # neighbour rank of the local scale sigma_i
+_MAX_K = 15  # the eigengap search looks at the top _MAX_K eigenvalues
+
 
 def stsc(
     X: np.ndarray,
     k: int | None = None,
     *,
-    k_nn: int = 7,
-    max_k: int = 15,
     max_n: int = 2000,
     seed: int = 31,
 ) -> np.ndarray:
@@ -42,7 +42,7 @@ def stsc(
 
     d2 = pairwise_sq_dists(S, S)
     order = np.sort(d2, axis=1)
-    sigma = np.sqrt(order[:, min(k_nn, m - 1)])
+    sigma = np.sqrt(order[:, min(_K_NN, m - 1)])
     sigma[sigma == 0] = np.min(sigma[sigma > 0]) if (sigma > 0).any() else 1.0
     A = np.exp(-d2 / np.outer(sigma, sigma))
     np.fill_diagonal(A, 0.0)
@@ -58,7 +58,7 @@ def stsc(
         # eigengap heuristic on the top eigenvalues: take the *first* gap
         # comparable to the largest one (a later, marginally bigger gap
         # deep in the spectrum must not override an early clean split)
-        top = evals[: min(max_k, m)]
+        top = evals[: min(_MAX_K, m)]
         gaps = -np.diff(top)
         if len(gaps) > 1:
             cut = 0.5 * float(gaps.max())

@@ -133,29 +133,18 @@ def adawave(
     nonzero = tdens > _EPS_COEF
     tcoords, tdens = tcoords[nonzero], tdens[nonzero]
     dens = np.sort(tdens)[::-1].copy()
-    if len(dens) < 8 or (len(dens) and dens[0] <= 4 * dens[-1]):
-        # too few occupied cells, or a near-flat density curve: there is
-        # no signal/noise split to find (typical of coarse high-d grids) —
-        # keep everything rather than elbow on structureless data
-        t = float(dens[-1]) - 1.0 if len(dens) else 0.0
-    else:
-        # 2-D noisy grids have a dominant signal/noise corner (stage 1);
-        # coarse high-d grids have no uniform-noise plateau, and the first
-        # corner would amputate minority clusters — cut at the second,
-        # gentler corner instead (the paper's literal three-segment read)
-        t = elbow_threshold(dens, stage=1 if d <= 2 else 2)
+    # 2-D noisy grids have a dominant signal/noise corner (stage 1); coarse
+    # high-d grids have no uniform-noise plateau, and the first corner would
+    # amputate minority clusters — cut at the second, gentler corner instead
+    # (the paper's literal three-segment read)
+    t = elbow_threshold(dens, stage=1 if d <= 2 else 2)
     keep = tdens > t
-    if len(tdens) and not keep.any():
-        # a degenerate elbow (e.g. all-equal densities) must not erase the
-        # data — fall back to keeping every non-zero cell
-        t = float(dens[-1]) - 1.0
-        keep[:] = True
+    # rows stay lexsorted as dwt_sparse returns them: label numbering
+    # follows that order, so it is deterministic
     kcoords, kdens = tcoords[keep], tdens[keep]
 
     # -- step 4: connected components over surviving cells -----------------
     if len(kcoords):
-        order = np.lexsort(kcoords.T[::-1])  # deterministic label numbering
-        kcoords, kdens = kcoords[order], kdens[order]
         labels = connected_components(kcoords)
         # prune spurious micro-components back into noise, by density mass
         # (not cell count: a legitimate cluster may occupy one cell when the

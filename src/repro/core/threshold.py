@@ -21,6 +21,10 @@ __all__ = ["elbow_threshold"]
 # A stage-2 corner is used only when its normalized chord distance reaches
 # this; a weaker one falls back to the stage-1 corner.
 _MIN_SIGNIFICANCE = 0.3
+# Keep-all rule: shorter curves, or curves whose largest density is at most
+# this multiple of the smallest, are treated as structureless.
+_MIN_CELLS = 8
+_MIN_HEAD_RATIO = 4.0
 
 
 def _chord_elbow(y: np.ndarray) -> tuple[int, float]:
@@ -56,13 +60,17 @@ def elbow_threshold(densities_desc: np.ndarray, *, stage: int = 1) -> float:
     back to stage 1 when that second corner is not significant
     (normalized chord distance below ``_MIN_SIGNIFICANCE``).
 
-    If the curve is degenerate (flat or too short) a value below the
-    minimum density is returned so no cell is filtered.
+    A curve of fewer than ``_MIN_CELLS`` values, or one whose head is at
+    most ``_MIN_HEAD_RATIO`` times its tail (near-flat, typical of coarse
+    high-d grids), has no signal/noise split to find: a value below the
+    minimum density is returned so no cell is filtered. So is a curve with
+    no corner below its chord. Otherwise the largest density is always
+    above the returned threshold, so at least one cell is kept.
     """
     y = np.asarray(densities_desc, dtype=np.float64)
     if y.size == 0:
         return 0.0
-    if y.size < 3 or y[0] == y[-1]:
+    if y.size < _MIN_CELLS or y[0] <= _MIN_HEAD_RATIO * y[-1]:
         return float(y[-1]) - 1.0  # keep everything
     i1, s1 = _chord_elbow(y)
     if s1 <= 0:

@@ -10,8 +10,9 @@
   the remaining points by nearest labeled neighbour (``_CAPS`` below,
   logged via the returned ``capped`` flag) — the paper ran the authors'
   single-node implementations, we care about the comparative shape.
-- The correct k is supplied to k-means/EM/STSC exactly where the paper
-  does ("we similarly set the correct k ... to ensure the best AMI").
+- The correct k is supplied to k-means and EM, as the paper does ("we
+  similarly set the correct k ... to ensure the best AMI"). STSC gets no
+  k: its eigengap heuristic chooses one.
 """
 from __future__ import annotations
 

@@ -60,10 +60,8 @@ def run_fig10(
         X, y = paper_synthetic(gamma, n_per_cluster=n_per_cluster, seed=seed)
         if i == 0:
             # Warm-up: one untimed fit of every algorithm on the first
-            # size's data, so JVM/codegen start-up, each MLlib estimator's
-            # first call and the dip test's bootstrap null tables for the
-            # reference sizes this data needs (built once per process)
-            # land in no timed call.
+            # size's data, so JVM/codegen start-up and each MLlib
+            # estimator's first call land in no timed call.
             for algo in algorithms:
                 _fit_seconds(spark, algo, X, y, seed)
         for algo in algorithms:

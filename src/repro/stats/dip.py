@@ -8,16 +8,30 @@ computed exactly via greatest-convex-minorant / least-concave-majorant
 fits over a shrinking modal interval.
 
 ``dip(x)`` returns the statistic; ``diptest(x)`` also returns a p-value
-against the uniform null (bootstrap, cached per sample size) and the
-modal interval — both of which SkinnyDip and DipMeans need.
+against the uniform null and the modal interval — both of which SkinnyDip
+and DipMeans need.
+
+The null distribution is a committed table, as R's ``diptest`` ships
+``qDiptab``: ``dip_null.npy`` holds, for each reference size in
+``_REF_SIZES``, the sorted dips of ``_N_BOOT`` uniform samples drawn by
+:func:`_boot_table`. It is loaded once at import. Regenerate it with::
+
+    PYTHONPATH=src python -c "import numpy as np, repro.stats.dip as m; np.save(m._NULL_PATH, np.stack([m._boot_table(n) for n in m._REF_SIZES]))"
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 __all__ = ["dip", "diptest", "dip_pvalue"]
+
+_REF_SIZES = (50, 200, 1000, 4000)
+_N_BOOT = 1000
+_SEED = 17
+_NULL_PATH = Path(__file__).with_name("dip_null.npy")
+# row i: the sorted null dips at sample size _REF_SIZES[i]
+_NULL = np.load(_NULL_PATH)
 
 
 def dip(x: np.ndarray, *, sort: bool = True) -> float:
@@ -26,47 +40,43 @@ def dip(x: np.ndarray, *, sort: bool = True) -> float:
     return d
 
 
-def diptest(
-    x: np.ndarray, *, n_boot: int = 2000, seed: int = 17, sort: bool = True
-) -> tuple[float, float, tuple[int, int]]:
+def diptest(x: np.ndarray, *, sort: bool = True) -> tuple[float, float, tuple[int, int]]:
     """Return ``(dip, p_value, (lo, hi))``.
 
     ``(lo, hi)`` are indices into the *sorted* sample delimiting the modal
     interval the algorithm converged to. The p-value is the fraction of
-    same-size uniform samples whose dip is at least as large (bootstrap
-    null, table cached per ``n``).
+    same-size uniform samples whose dip is at least as large (the committed
+    null table, see :func:`dip_pvalue`).
     """
     xs = np.asarray(x, dtype=np.float64)
     d, lo, hi = _dip_full(xs, sort=sort)
-    p = dip_pvalue(d, xs.size, n_boot=n_boot, seed=seed)
-    return d, p, (lo, hi)
+    return d, dip_pvalue(d, xs.size), (lo, hi)
 
 
-_REF_SIZES = (50, 200, 1000, 4000)
+def dip_pvalue(d: float, n: int) -> float:
+    """P-value of a dip value for sample size n under uniformity.
 
-
-def dip_pvalue(d: float, n: int, *, n_boot: int = 1000, seed: int = 17) -> float:
-    """Bootstrap p-value of a dip value for sample size n under uniformity.
-
-    Exact bootstrap tables are only built at a few reference sizes; other
-    sizes use the asymptotic sqrt(n)-scaling of the dip distribution
-    (dip * sqrt(n) converges in law — the same interpolation R's
-    ``dip.test``/qDiptab relies on), so the expensive null simulation runs
-    once per reference size, not once per distinct n.
+    The null table holds exact simulated dips only at a few reference
+    sizes; other sizes use the asymptotic sqrt(n)-scaling of the dip
+    distribution (dip * sqrt(n) converges in law — the same interpolation
+    R's ``dip.test``/qDiptab relies on) from the nearest size in log scale.
     """
     if n < 4:
         return 1.0
-    ref = min(_REF_SIZES, key=lambda r: abs(np.log(r) - np.log(n)))
-    table = _boot_table(ref, int(n_boot), int(seed))
-    scaled = d * np.sqrt(n / ref)
-    idx = np.searchsorted(table, scaled, side="left")
+    i = int(np.argmin(np.abs(np.log(_REF_SIZES) - np.log(n))))
+    table = _NULL[i]
+    idx = np.searchsorted(table, d * np.sqrt(n / _REF_SIZES[i]), side="left")
     return float((table.size - idx) / table.size)
 
 
-@lru_cache(maxsize=16)
-def _boot_table(n: int, n_boot: int, seed: int) -> np.ndarray:
-    g = np.random.default_rng(seed + n)
-    u = g.random((n_boot, n))
+def _boot_table(n: int) -> np.ndarray:
+    """Sorted dips of ``_N_BOOT`` uniform samples of size n: one null-table row.
+
+    The reference generator of ``dip_null.npy`` (about 30 s of pure Python
+    on one core at n = 4000); nothing calls it at run time.
+    """
+    g = np.random.default_rng(_SEED + n)
+    u = g.random((_N_BOOT, n))
     u.sort(axis=1)
     return np.sort(np.array([_dip_full(row, sort=False)[0] for row in u]))
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.stats.dip as dip_mod
 from repro.stats.dip import dip, dip_pvalue, diptest
 
 
@@ -77,38 +78,45 @@ class TestDipStatistic:
 class TestDipPValue:
     def test_uniform_high_p(self):
         g = np.random.default_rng(6)
-        ps = [diptest(g.random(300), n_boot=300)[1] for _ in range(5)]
+        ps = [diptest(g.random(300))[1] for _ in range(5)]
         assert float(np.median(ps)) > 0.1
 
     def test_bimodal_low_p(self):
         g = np.random.default_rng(7)
         x = np.concatenate([g.normal(-4, 0.3, 150), g.normal(4, 0.3, 150)])
-        _, p, _ = diptest(x, n_boot=300)
+        _, p, _ = diptest(x)
         assert p < 0.01
 
     def test_gaussian_not_significant(self):
         g = np.random.default_rng(8)
-        _, p, _ = diptest(g.normal(0, 1, 500), n_boot=300)
+        _, p, _ = diptest(g.normal(0, 1, 500))
         assert p > 0.2
 
     def test_pvalue_in_unit_interval(self):
         for d in (0.0, 0.01, 0.05, 0.2, 0.5):
-            p = dip_pvalue(d, 100, n_boot=200)
+            p = dip_pvalue(d, 100)
             assert 0.0 <= p <= 1.0
 
     def test_pvalue_monotone_in_dip(self):
-        ps = [dip_pvalue(d, 200, n_boot=200) for d in (0.005, 0.02, 0.05, 0.1)]
+        ps = [dip_pvalue(d, 200) for d in (0.005, 0.02, 0.05, 0.1)]
         assert ps == sorted(ps, reverse=True)
 
     def test_tiny_sample_p_is_one(self):
         assert dip_pvalue(0.2, 3) == 1.0
+
+    def test_committed_null_table_regenerates(self):
+        # the smallest row is cheap to rebuild; the others come from the
+        # same generator with a larger n (command in the module docstring)
+        assert dip_mod._NULL.shape == (len(dip_mod._REF_SIZES), dip_mod._N_BOOT)
+        assert dip_mod._REF_SIZES[0] == 50
+        assert np.array_equal(dip_mod._boot_table(50), dip_mod._NULL[0])
 
 
 class TestModalInterval:
     def test_modal_interval_valid_indices(self):
         g = np.random.default_rng(9)
         x = np.sort(g.random(100))
-        _, _, (lo, hi) = diptest(x, n_boot=100, sort=False)
+        _, _, (lo, hi) = diptest(x, sort=False)
         assert 0 <= lo <= hi <= 99
 
     def test_modal_interval_covers_a_mode_of_bimodal(self):
@@ -116,7 +124,7 @@ class TestModalInterval:
         x = np.sort(
             np.concatenate([g.normal(-5, 0.2, 200), g.normal(5, 0.2, 200)])
         )
-        _, _, (lo, hi) = diptest(x, n_boot=100, sort=False)
+        _, _, (lo, hi) = diptest(x, sort=False)
         # the interval should sit inside one of the two modes
         vals = x[[lo, hi]]
         assert (vals < 0).all() or (vals > 0).all()

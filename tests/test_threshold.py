@@ -45,6 +45,16 @@ class TestElbow:
         y = np.array([3.0, 1.0])
         assert elbow_threshold(y) < 1.0
 
+    @pytest.mark.parametrize(
+        "y",
+        [np.array([100.0, 30.0, 8.0, 2.0, 1.0]), 1.0 + 3.0 / np.arange(1.0, 101.0)],
+        ids=["steep-5-cells", "head-under-4x-tail"],
+    )
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_structureless_curve_keeps_everything(self, y, stage):
+        # too few cells, or a head at most 4x the tail: no split to find
+        assert elbow_threshold(y, stage=stage) < y.min()
+
     def test_empty(self):
         assert elbow_threshold(np.array([])) == 0.0
 

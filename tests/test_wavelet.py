@@ -141,6 +141,9 @@ class TestSparseSparkDWT:
         c2, v2 = dwt_sparse(coords[perm], dens[perm], name, 2)
         assert np.array_equal(c1, c2)
         assert np.allclose(v1, v2, rtol=0, atol=1e-12)
+        # rows come out lexsorted, whatever the input order (adawave numbers
+        # its clusters in this order)
+        assert np.array_equal(np.lexsort(c2.T[::-1]), np.arange(len(c2)))
 
     def test_33d_coarse_grid(self):
         # a scale-4 grid at d=33 has 4**33 > 2**63 cells: grouping must not
